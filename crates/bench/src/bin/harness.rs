@@ -511,7 +511,8 @@ fn overload_bench(quick: bool) {
 /// same-pattern query comes out of the specialised-program cache with the
 /// same bits; a tripped assert fails the CI job. Asserts the bound query
 /// via magic beats full materialisation ≥ 10x and demands ≪ the full
-/// closure, and writes `BENCH_magic.json`.
+/// closure, then that the warm point query stays flat across a 64x sweep of
+/// EDB sizes (see [`magic_edb_sweep`]), and writes `BENCH_magic.json`.
 fn magic_bench(quick: bool) {
     use vadalog_benchgen::magic::bound_query_scenario;
     use vadalog_datalog::{DemandEngine, DemandError};
@@ -623,6 +624,17 @@ fn magic_bench(quick: bool) {
     ]);
     print!("{}", table.render());
 
+    let (sweep, growth) = magic_edb_sweep(quick);
+    let sweep_json: Vec<String> = sweep
+        .iter()
+        .map(|(chains, edges, ms)| {
+            format!(
+                "    {{\"chains\": {chains}, \"edges\": {edges}, \
+                 \"point_magic_warm_wall_ms\": {ms:.3}}}"
+            )
+        })
+        .collect();
+
     let json = format!(
         "{{\n  \"workload\": {{\n    \"chains\": {chains},\n    \"chain_len\": {chain_len},\n    \
          \"edges\": {},\n    \"full_closure_size\": {}\n  }},\n  \
@@ -633,9 +645,12 @@ fn magic_bench(quick: bool) {
          \"point_magic_cold_wall_ms\": {point_cold_ms:.3},\n  \
          \"point_magic_warm_wall_ms\": {point_warm_ms:.3},\n  \
          \"point_speedup\": {point_speedup:.2},\n  \
-         \"demanded_tuples\": {demanded},\n  \"answers_bit_identical\": true\n}}\n",
+         \"demanded_tuples\": {demanded},\n  \"answers_bit_identical\": true,\n  \
+         \"edb_sweep_chain_len\": {SWEEP_CHAIN_LEN},\n  \"edb_sweep\": [\n{}\n  ],\n  \
+         \"edb_sweep_point_warm_growth\": {growth:.3}\n}}\n",
         scenario.database.len(),
         scenario.full_closure_size,
+        sweep_json.join(",\n"),
     );
     std::fs::write("BENCH_magic.json", &json).expect("write BENCH_magic.json");
     println!("wrote BENCH_magic.json");
@@ -645,6 +660,66 @@ fn magic_bench(quick: bool) {
         "the bound query through the magic path must beat full materialisation \
          by at least 10x, got {bound_speedup:.2}x"
     );
+    assert!(
+        growth <= 2.0,
+        "warm point-query latency must grow at most 2x across a 64x EDB sweep, \
+         got {growth:.2}x"
+    );
+}
+
+/// Chain length of the EDB-size sweep: the point query demands one whole
+/// chain, so the demanded work stays fixed while the EDB grows.
+const SWEEP_CHAIN_LEN: usize = 30;
+
+/// The output-sensitivity gate of the demand path, over
+/// `bound_query_scenario(n, SWEEP_CHAIN_LEN, 42)` for `n` = 50, 200, 800
+/// and 3200 chains (10 to 640 with `--quick`): a 64x span of EDB sizes. At
+/// every size the bound and point answers are first checked bit-identical
+/// to full materialisation. Then the warm point query is timed, min of 25:
+/// its specialised program is cached, and the first query already built the
+/// index it probes on the base relation. Returns `(chains, edges, warm ms)`
+/// per size and the ratio of the largest size's latency to the smallest's.
+fn magic_edb_sweep(quick: bool) -> (Vec<(usize, usize, f64)>, f64) {
+    use vadalog_benchgen::magic::bound_query_scenario;
+    use vadalog_datalog::DemandEngine;
+    use vadalog_model::QueryBudget;
+
+    let budget = QueryBudget::unlimited();
+    let smallest = if quick { 10 } else { 50 };
+    let mut table = Table::new(&["chains", "edges", "point warm ms"]);
+    let mut sweep = Vec::new();
+    for factor in [1usize, 4, 16, 64] {
+        let chains = smallest * factor;
+        let scenario = bound_query_scenario(chains, SWEEP_CHAIN_LEN, 42);
+        let base = scenario.database.as_instance();
+        let demand = DemandEngine::new(scenario.program.clone());
+        {
+            let reference = DatalogEngine::new(scenario.program.clone())
+                .unwrap()
+                .evaluate(&scenario.database);
+            for query in [&scenario.bound_query, &scenario.point_query] {
+                assert_eq!(
+                    demand.answer(base, query, &budget).unwrap().answers,
+                    query.evaluate(&reference.instance),
+                    "magic and full answers must be bit-identical at {chains} chains"
+                );
+            }
+        }
+        let mut warm = f64::MAX;
+        for _ in 0..25 {
+            let start = Instant::now();
+            let answer = demand.answer(base, &scenario.point_query, &budget).unwrap();
+            warm = warm.min(start.elapsed().as_secs_f64() * 1e3);
+            assert!(answer.cache_hit && answer.answers.len() == 1);
+        }
+        let edges = scenario.database.len();
+        table.row(&[chains.to_string(), edges.to_string(), format!("{warm:.3}")]);
+        sweep.push((chains, edges, warm));
+    }
+    print!("{}", table.render());
+    let growth = sweep[sweep.len() - 1].2 / sweep[0].2;
+    println!("warm point query, largest over smallest EDB: {growth:.2}x");
+    (sweep, growth)
 }
 
 /// Recovery — the durability tax and the recovery dividend, on the

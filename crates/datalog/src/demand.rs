@@ -12,12 +12,15 @@
 //!    Rewrite and compilation happen **once per pattern**; every later
 //!    query with the same shape only swaps the seed constants
 //!    ([`vadalog_analysis::magic::MagicRewrite::specialise`]);
-//! 2. builds a **scratch instance** by deep-copying only the extensional
-//!    relations the rewritten program reads out of the caller's (frozen,
-//!    typically `Arc`-shared snapshot) instance
-//!    ([`vadalog_model::Instance::project`]) and inserting the ground
-//!    magic seed facts — concurrent queries therefore never mutate shared
-//!    state, and the served snapshot is never polluted with magic
+//! 2. builds a **scratch instance** that shares, without copying, only the
+//!    extensional relations the rewritten program reads out of the
+//!    caller's (frozen, typically `Arc`-shared snapshot) instance
+//!    ([`vadalog_model::Instance::project`], O(predicates)), and inserts
+//!    the ground magic seed facts into relations of its own. The fixpoint
+//!    derives only into magic and adorned relations, so the shared ones
+//!    are only read: the key indexes the first query of an epoch builds on
+//!    them stay on the snapshot for every later query, the served
+//!    snapshot's rows never change, and it is never polluted with magic
 //!    predicates;
 //! 3. runs the ordinary stratified semi-naive fixpoint over the scratch
 //!    instance through the same sharded round machinery as
@@ -498,15 +501,32 @@ mod tests {
     #[test]
     fn base_instance_is_never_mutated() {
         let program = parse_rules(TC).unwrap();
-        let base = chain_instance(8);
-        let before = base.sorted_row_layout();
+        let base = vadalog_model::InstanceSnapshot::freeze(&chain_instance(8), 1);
+        let before = base.row_layout();
+        let unindexed = base.index_bytes();
         let engine = DemandEngine::new(program);
         let query = parse_query("?(Y) :- t(n0, Y).").unwrap();
-        engine
+        let first = engine
             .answer(&base, &query, &QueryBudget::unlimited())
             .unwrap();
-        assert_eq!(base.sorted_row_layout(), before);
+        assert_eq!(base.row_layout(), before);
         assert!(base.relation(Predicate::new("m__t__bf")).is_none());
+
+        // The first query built its index on the shared base relation. A
+        // second query of the same snapshot reads that index in place: it
+        // builds no index and copies no relation, and the rows stay put.
+        let built = base.index_bytes();
+        assert!(
+            built > unindexed,
+            "the first query's index stays on the base"
+        );
+        let other = parse_query("?(Y) :- t(n3, Y).").unwrap();
+        let second = engine
+            .answer(&base, &other, &QueryBudget::unlimited())
+            .unwrap();
+        assert_eq!(base.index_bytes(), built);
+        assert_eq!(base.row_layout(), before);
+        assert_eq!((first.answers.len(), second.answers.len()), (8, 5));
     }
 
     #[test]

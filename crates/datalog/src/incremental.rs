@@ -38,8 +38,10 @@
 //! * **Epoch snapshots.** Readers take [`InstanceSnapshot`]s
 //!   ([`IncrementalEngine::snapshot`]): immutable, `Arc`-shared views frozen
 //!   at the engine's current epoch (bumped once per successful ingest).
-//!   Only the first snapshot of an epoch clones the instance; queries then
-//!   run with no lock held, concurrently with the next ingest.
+//!   A snapshot shares the instance's relations instead of copying them,
+//!   so taking one is O(relations); the next ingest copies only the
+//!   relations it writes, on its first write to each. Queries then run
+//!   with no lock held, concurrently with the next ingest.
 
 use crate::engine::{flush_round, seeded_round, DatalogStats, DeltaRange};
 use std::collections::{BTreeMap, BTreeSet};
@@ -47,7 +49,7 @@ use vadalog_analysis::predicate_graph::PredicateGraph;
 use vadalog_analysis::stratify::{stratify, Stratification};
 use vadalog_model::{
     Atom, ConjunctiveQuery, Database, Instance, InstanceSnapshot, JoinSpec, MergeScratch,
-    ModelError, PackedTerm, Predicate, Program, RowId, RowTemplate, SnapshotCell, Symbol, Tgd,
+    ModelError, PackedTerm, Predicate, Program, RowId, RowTemplate, Symbol, Tgd,
 };
 
 /// The per-stratum compilation the engine reuses across every ingest: join
@@ -92,7 +94,7 @@ pub struct IngestOutcome {
 
 /// A long-lived engine maintaining a materialised instance under continuous
 /// fact ingestion — see the [module docs](self) for the design.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct IncrementalEngine {
     program: Program,
     stratification: Stratification,
@@ -111,26 +113,6 @@ pub struct IncrementalEngine {
     stats: DatalogStats,
     /// Bumped once per successful ingest that touched the instance.
     epoch: u64,
-    snapshots: SnapshotCell,
-}
-
-impl Clone for IncrementalEngine {
-    fn clone(&self) -> IncrementalEngine {
-        IncrementalEngine {
-            program: self.program.clone(),
-            stratification: self.stratification.clone(),
-            graph: self.graph.clone(),
-            strata: self.strata.clone(),
-            threads: self.threads,
-            row_capacity: self.row_capacity,
-            instance: self.instance.clone(),
-            watermarks: self.watermarks.clone(),
-            stats: self.stats,
-            epoch: self.epoch,
-            // Snapshot caches are per-engine; a clone starts cold.
-            snapshots: SnapshotCell::new(),
-        }
-    }
 }
 
 impl IncrementalEngine {
@@ -188,7 +170,6 @@ impl IncrementalEngine {
             watermarks: BTreeMap::new(),
             stats: DatalogStats::default(),
             epoch: 0,
-            snapshots: SnapshotCell::new(),
         })
     }
 
@@ -251,12 +232,13 @@ impl IncrementalEngine {
         self.epoch
     }
 
-    /// An immutable snapshot of the materialisation at the current epoch.
-    /// The first call after an ingest clones the instance; later calls at
-    /// the same epoch are reference-count bumps. Readers evaluate against
-    /// the snapshot with no engine lock held.
+    /// An immutable snapshot of the materialisation at the current epoch,
+    /// sharing every relation with the live instance: O(relations). The
+    /// next ingest copies a relation on its first write to it while a
+    /// snapshot still holds it. Readers evaluate against the snapshot with
+    /// no engine lock held.
     pub fn snapshot(&self) -> InstanceSnapshot {
-        self.snapshots.acquire(&self.instance, self.epoch)
+        InstanceSnapshot::freeze(&self.instance, self.epoch)
     }
 
     /// Restores the engine to a previously captured materialisation state:
@@ -264,7 +246,7 @@ impl IncrementalEngine {
     /// counter. Watermarks are recomputed as every relation's full row
     /// count — valid precisely because captured states are only ever taken
     /// *between* ingests, at fixpoint, when every row of every relation has
-    /// been processed by every stratum. The snapshot cache starts cold.
+    /// been processed by every stratum.
     ///
     /// This is the recovery hook for a durability layer: restore the
     /// snapshotted state, then re-[`IncrementalEngine::ingest`] the logged
@@ -278,7 +260,6 @@ impl IncrementalEngine {
         self.instance = instance;
         self.stats = stats;
         self.epoch = epoch;
-        self.snapshots = SnapshotCell::new();
     }
 
     /// Evaluates a conjunctive query over the live materialisation through
@@ -375,6 +356,17 @@ impl IncrementalEngine {
             return Ok(outcome);
         }
         let affected = self.stratification.affected_strata(&self.graph, &touched);
+        // A published snapshot shares every relation. Copy the ones the
+        // affected strata derive into before their first round probes them,
+        // so the indexes those probes build are the engine's own and
+        // survive its writes.
+        self.instance.take_private(
+            self.strata
+                .iter()
+                .zip(&affected)
+                .filter(|(_, &affected)| affected)
+                .flat_map(|(stratum, _)| stratum.predicates.iter().copied()),
+        );
         let derived_before = self.stats.derived_atoms;
         let rounds_before = self.stats.rounds_incremental;
         let mut scratch = MergeScratch::new();
@@ -793,6 +785,52 @@ mod tests {
         let fresh = live.snapshot();
         assert_eq!(fresh.epoch(), 2);
         assert_eq!(q.evaluate(&fresh).len(), 3);
+    }
+
+    #[test]
+    fn snapshots_keep_their_rows_while_the_engine_writes_copies() {
+        let mut live = engine(TWO_CLOSURES);
+        live.ingest(&facts("edge(a, b). edge(b, c). link(p, q). link(q, r)."))
+            .unwrap();
+        let snap = live.snapshot();
+        let layout = snap.row_layout();
+        let (len, t_rows) = (
+            snap.len(),
+            snap.relation(Predicate::new("t")).unwrap().len(),
+        );
+
+        // This batch writes `edge` and `t` only.
+        live.ingest(&facts("edge(c, d). edge(x, a).")).unwrap();
+        assert_eq!(snap.row_layout(), layout);
+        assert_eq!(snap.len(), len);
+        let t = snap.relation(Predicate::new("t")).unwrap();
+        assert_eq!(t.len(), t_rows);
+        assert!(t
+            .find_row(&[Term::constant("a"), Term::constant("d")])
+            .is_none());
+        for id in 0..t.row_count() {
+            let row = t.row_terms(id);
+            assert_eq!(t.find_row(&row), Some(id), "row ids survive the write");
+            assert_eq!(
+                live.instance()
+                    .relation(Predicate::new("t"))
+                    .unwrap()
+                    .find_row(&row),
+                Some(id),
+                "the writer's copy keeps the ids it copied"
+            );
+        }
+        assert!(live.instance().len() > len);
+
+        // Written relations were copied; untouched ones are still shared.
+        let same = |p: &str| {
+            std::ptr::eq(
+                snap.relation(Predicate::new(p)).unwrap(),
+                live.instance().relation(Predicate::new(p)).unwrap(),
+            )
+        };
+        assert!(!same("edge") && !same("t"));
+        assert!(same("link") && same("s"));
     }
 
     #[test]

@@ -86,6 +86,40 @@
 //!   before locking the index itself, so no thread ever sleeps holding the
 //!   list lock.
 //!
+//! # Copy-on-write sharing
+//!
+//! An [`Instance`] holds each relation behind an `Arc`, and every write goes
+//! through `Arc::make_mut`. Cloning an instance (and [`Instance::project`])
+//! therefore shares every relation, rows, dedup table and indexes alike;
+//! a relation is deep-copied only by the first write to it while it is
+//! shared. An epoch snapshot ([`crate::InstanceSnapshot`]) costs
+//! O(relations), and a demand query reads the snapshot's relations in
+//! place, with the indexes the writer already built.
+//!
+//! Sharing must not let one holder observe another's reads. Reads change
+//! a relation in three ways: they build key indexes, they extend stale
+//! ones, and they count fingerprint-filter misses, the evidence that steers
+//! the adaptive filter sizing. Any of these would change the writer's later
+//! `misses_filtered` counters. A relation therefore keeps a sticky *shared*
+//! flag, set when an instance holding it is cloned and cleared by its next
+//! write (on the private copy, or in place when no other holder is left):
+//!
+//! * Sharing first brings every index that exists up to date, so no reader
+//!   ever extends an index the writer built.
+//! * Probes of a shared relation count no filter misses.
+//! * An index first built while the relation is shared is built at the
+//!   relation's frozen row count, so its state does not depend on who
+//!   built it. It serves the holders that share it — the indexes a demand
+//!   query builds on a snapshot serve every later query of that snapshot —
+//!   and the writer's copy leaves it behind, without waiting for a build in
+//!   progress. A writer that probes a relation before writing it takes its
+//!   private copy first ([`Instance::take_private`]), so the indexes it
+//!   builds are its own.
+//!
+//! The flag changes only on clones and writes, never on reads or on the
+//! timing of a snapshot's release, so the writer's results and counters
+//! are the same whatever its readers did.
+//!
 //! The join kernel in [`crate::homomorphism`] works directly on row ids and
 //! borrowed term slices; the `Atom`-returning methods here materialise atoms
 //! lazily and exist for the convenience of analysis code, provenance and
@@ -102,7 +136,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::mem::size_of;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// Stable identifier of a row within its [`Relation`].
@@ -453,6 +487,10 @@ struct KeyIndex {
     /// key had no candidates) — the numerator of the measured
     /// false-positive rate.
     filter_false_positives: AtomicU64,
+    /// First built while its relation was shared, for the holders that
+    /// share it: the writer's next copy leaves it behind (see the module
+    /// docs on copy-on-write sharing).
+    built_shared: bool,
 }
 
 impl Default for KeyIndex {
@@ -468,6 +506,7 @@ impl Default for KeyIndex {
             filter_bits_per_key: FILTER_BITS_PER_KEY,
             filter_skips: AtomicU64::new(0),
             filter_false_positives: AtomicU64::new(0),
+            built_shared: false,
         }
     }
 }
@@ -487,6 +526,7 @@ impl Clone for KeyIndex {
             filter_false_positives: AtomicU64::new(
                 self.filter_false_positives.load(Ordering::Relaxed),
             ),
+            built_shared: self.built_shared,
         }
     }
 }
@@ -720,15 +760,19 @@ impl KeyIndex {
     /// via [`Candidates::skipped_by_filter`]. The slot position comes from
     /// the cheap multiplicative [`hash_u64`]; the filter bit (only computed
     /// for large, filtered tables) from the avalanched [`mix_u64`]. The
-    /// overflow map is only consulted while unmerged appends exist.
+    /// overflow map is only consulted while unmerged appends exist. Misses
+    /// feed the adaptive filter sizing only when `count_misses` is set (it
+    /// is clear on a shared relation, whose readers must not steer it).
     #[inline]
-    fn lookup(&self, key: u64) -> Candidates<'_> {
+    fn lookup(&self, key: u64, count_misses: bool) -> Candidates<'_> {
         if !self.filter.is_empty() {
             let (word, mask) = Self::filter_bit(self.filter.len(), key);
             if self.filter[word] & mask == 0 {
                 // A proven miss: evidence that the filter is earning its
                 // keep (the denominator of the measured FP rate).
-                self.filter_skips.fetch_add(1, Ordering::Relaxed);
+                if count_misses {
+                    self.filter_skips.fetch_add(1, Ordering::Relaxed);
+                }
                 return Candidates {
                     csr: &[],
                     overflow: &[],
@@ -752,7 +796,7 @@ impl KeyIndex {
         } else {
             self.overflow.get(&key).map(Vec::as_slice).unwrap_or(&[])
         };
-        if !self.filter.is_empty() && csr.is_empty() && overflow.is_empty() {
+        if count_misses && !self.filter.is_empty() && csr.is_empty() && overflow.is_empty() {
             // The filter passed a key that has no rows: a false positive.
             // Counted on the miss path only, so hits stay untouched.
             self.filter_false_positives.fetch_add(1, Ordering::Relaxed);
@@ -850,19 +894,43 @@ pub struct Relation {
     /// and drop the list guard before locking the index itself (see the
     /// module docs for why that keeps re-entrant probes deadlock-free).
     composites: RwLock<Vec<(ColSet, Arc<RwLock<KeyIndex>>)>>,
+    /// Set when an instance holding the relation is cloned, cleared by the
+    /// next write (see the module docs on copy-on-write sharing).
+    shared: AtomicBool,
+}
+
+/// A copy of the key index behind `lock` for a deep copy of its relation,
+/// or `None` for an index first built while the relation was shared. Such
+/// an index stays with the holders it was built for. The copy never waits:
+/// sharing left every other index fresh, so a write-locked index is one a
+/// reader is building right now.
+fn copy_index(lock: &RwLock<KeyIndex>) -> Option<KeyIndex> {
+    match lock.try_read() {
+        Ok(index) => (!index.built_shared).then(|| index.clone()),
+        Err(std::sync::TryLockError::WouldBlock) => None,
+        Err(std::sync::TryLockError::Poisoned(_)) => panic!("key index lock poisoned"),
+    }
 }
 
 impl Clone for Relation {
+    /// A deep copy: rows, dedup table and the indexes the relation's writer
+    /// built. Indexes first built while the relation was shared stay with
+    /// the holders they were built for; the copy rebuilds them on demand.
     fn clone(&self) -> Relation {
+        // The copy is the one that gets written (see `Instance::relation_mut`),
+        // so it keeps the original's spare capacity: its first appends must
+        // not reallocate every row.
+        let mut terms = Vec::with_capacity(self.terms.capacity());
+        terms.extend_from_slice(&self.terms);
         Relation {
             predicate: self.predicate,
             arity: self.arity,
-            terms: self.terms.clone(),
+            terms,
             dedup: self.dedup.clone(),
             columns: self
                 .columns
                 .iter()
-                .map(|c| RwLock::new(c.read().expect("key index lock poisoned").clone()))
+                .map(|c| RwLock::new(copy_index(c).unwrap_or_default()))
                 .collect(),
             // Deep-clone the composite indexes so the clone shares no state
             // with the original (matching the per-column behaviour).
@@ -871,16 +939,12 @@ impl Clone for Relation {
                     .read()
                     .expect("composite index list lock poisoned")
                     .iter()
-                    .map(|(cols, index)| {
-                        (
-                            *cols,
-                            Arc::new(RwLock::new(
-                                index.read().expect("key index lock poisoned").clone(),
-                            )),
-                        )
+                    .filter_map(|(cols, index)| {
+                        copy_index(index).map(|index| (*cols, Arc::new(RwLock::new(index))))
                     })
                     .collect(),
             ),
+            shared: AtomicBool::new(self.shared.load(Ordering::Acquire)),
         }
     }
 }
@@ -894,7 +958,53 @@ impl Relation {
             dedup: DedupTable::default(),
             columns: (0..arity).map(|_| RwLock::default()).collect(),
             composites: RwLock::default(),
+            shared: AtomicBool::new(false),
         }
+    }
+
+    /// Prepares the relation for a second holder: brings every index that
+    /// exists up to date, then sets the shared flag (an already shared
+    /// relation is left as it is). A column index exists once it has
+    /// indexed a row; a composite index once it is listed.
+    fn share(&self) {
+        if self.shared.load(Ordering::Acquire) {
+            return;
+        }
+        for (col, lock) in self.columns.iter().enumerate() {
+            let built = lock.read().expect("key index lock poisoned").rows_indexed > 0;
+            if built {
+                self.ensure_key_index(lock, ColSet::single(col));
+            }
+        }
+        let composites: Vec<(ColSet, Arc<RwLock<KeyIndex>>)> = self
+            .composites
+            .read()
+            .expect("composite index list lock poisoned")
+            .clone();
+        for (cols, index) in &composites {
+            self.ensure_key_index(index, *cols);
+        }
+        self.shared.store(true, Ordering::Release);
+    }
+
+    /// Takes a relation its writer now holds alone (a fresh copy, or the
+    /// last holder left) out of the shared state before the first write:
+    /// drops the indexes first built while it was shared and clears the
+    /// flag.
+    fn unshare(&mut self) {
+        if !std::mem::take(self.shared.get_mut()) {
+            return;
+        }
+        for lock in &mut self.columns {
+            let index = lock.get_mut().expect("key index lock poisoned");
+            if index.built_shared {
+                *index = KeyIndex::default();
+            }
+        }
+        self.composites
+            .get_mut()
+            .expect("composite index list lock poisoned")
+            .retain(|(_, index)| !index.read().expect("key index lock poisoned").built_shared);
     }
 
     /// The relation's predicate.
@@ -1043,6 +1153,11 @@ impl Relation {
             }
             match lock.try_write() {
                 Ok(mut index) => {
+                    // Sharing left every built index fresh, so on a shared
+                    // relation this is a first build, for its readers.
+                    if self.shared.load(Ordering::Acquire) {
+                        index.built_shared = true;
+                    }
                     index.ensure(&self.terms, self.arity, cols, rows);
                     return;
                 }
@@ -1096,16 +1211,17 @@ impl Relation {
         f: impl FnOnce(Candidates<'_>) -> R,
     ) -> R {
         let rows = self.row_count();
+        let count_misses = !self.shared.load(Ordering::Relaxed);
         {
             // Fast path: one uncontended read lock when the index is fresh.
             let index = lock.read().expect("key index lock poisoned");
             if index.rows_indexed == rows {
-                return f(index.lookup(key));
+                return f(index.lookup(key, count_misses));
             }
         }
         self.ensure_key_index(lock, cols);
         let index = lock.read().expect("key index lock poisoned");
-        f(index.lookup(key))
+        f(index.lookup(key, count_misses))
     }
 
     /// Calls `f` with the candidate rows whose `col`-th packed term equals
@@ -1234,14 +1350,31 @@ impl Relation {
 
 /// A finite set of atoms over constants and labelled nulls, stored as one
 /// columnar [`Relation`] per predicate.
-#[derive(Clone, Default)]
+///
+/// Relations are copy-on-write: cloning shares every relation, and a
+/// relation is copied by its first write while shared (see the module docs).
+#[derive(Default)]
 pub struct Instance {
-    relations: FxHashMap<Predicate, Relation>,
+    relations: FxHashMap<Predicate, Arc<Relation>>,
     len: usize,
     /// Reusable pack buffer for the term-level insert path, so repeated
     /// `insert` / `insert_terms` calls (the chase and executor apply phases)
     /// do not allocate per fact.
     pack_scratch: Vec<PackedTerm>,
+}
+
+impl Clone for Instance {
+    /// O(relations): shares every relation with the clone.
+    fn clone(&self) -> Instance {
+        for rel in self.relations.values() {
+            rel.share();
+        }
+        Instance {
+            relations: self.relations.clone(),
+            len: self.len,
+            pack_scratch: Vec::new(),
+        }
+    }
 }
 
 impl Instance {
@@ -1262,7 +1395,31 @@ impl Instance {
 
     /// The relation of a predicate, if it occurs in the instance.
     pub fn relation(&self, p: Predicate) -> Option<&Relation> {
-        self.relations.get(&p)
+        self.relations.get(&p).map(|rel| &**rel)
+    }
+
+    /// The relation of `predicate`, created empty with `arity` when absent,
+    /// ready for a write: a shared relation is copied first (see the module
+    /// docs). Fails without copying if the arity conflicts.
+    fn relation_mut(
+        &mut self,
+        predicate: Predicate,
+        arity: usize,
+    ) -> Result<&mut Relation, ModelError> {
+        let slot = self
+            .relations
+            .entry(predicate)
+            .or_insert_with(|| Arc::new(Relation::new(predicate, arity)));
+        if slot.arity != arity {
+            return Err(ModelError::ArityMismatch {
+                predicate: predicate.name().to_string(),
+                expected: slot.arity,
+                found: arity,
+            });
+        }
+        let rel = Arc::make_mut(slot);
+        rel.unshare();
+        Ok(rel)
     }
 
     /// Inserts an atom; returns `true` if it was not already present.
@@ -1292,18 +1449,7 @@ impl Instance {
         predicate: Predicate,
         row: &[PackedTerm],
     ) -> Result<bool, ModelError> {
-        let rel = self
-            .relations
-            .entry(predicate)
-            .or_insert_with(|| Relation::new(predicate, row.len()));
-        if rel.arity != row.len() {
-            return Err(ModelError::ArityMismatch {
-                predicate: predicate.name().to_string(),
-                expected: rel.arity,
-                found: row.len(),
-            });
-        }
-        let (_, inserted) = rel.insert_row(row)?;
+        let (_, inserted) = self.relation_mut(predicate, row.len())?.insert_row(row)?;
         if inserted {
             self.len += 1;
         }
@@ -1328,39 +1474,38 @@ impl Instance {
     ) -> Result<usize, ModelError> {
         assert!(arity > 0, "insert_batch requires positive arity");
         assert_eq!(rows.len() % arity, 0, "rows must hold whole rows");
-        let rel = self
-            .relations
-            .entry(predicate)
-            .or_insert_with(|| Relation::new(predicate, arity));
-        if rel.arity != arity {
-            return Err(ModelError::ArityMismatch {
-                predicate: predicate.name().to_string(),
-                expected: rel.arity,
-                found: arity,
-            });
-        }
+        let rel = self.relation_mut(predicate, arity)?;
         let mut inserted = 0;
+        let mut outcome = Ok(());
         for row in rows.chunks_exact(arity) {
-            // Count each row as it lands so `self.len` stays consistent with
-            // the relation even if a later row fails (e.g. on capacity).
-            if rel.insert_row(row)?.1 {
-                inserted += 1;
-                self.len += 1;
+            match rel.insert_row(row) {
+                Ok((_, true)) => inserted += 1,
+                Ok((_, false)) => {}
+                Err(error) => {
+                    outcome = Err(error);
+                    break;
+                }
             }
         }
-        Ok(inserted)
+        // Count the rows that landed even if a later row failed (e.g. on
+        // capacity), so `self.len` stays consistent with the relation.
+        self.len += inserted;
+        outcome.map(|()| inserted)
     }
 
-    /// A new instance holding deep copies of the relations of exactly the
-    /// requested predicates (absent predicates are skipped). Cloned
-    /// relations keep their row ids, indexes and fingerprint filters, so a
-    /// projection of a served snapshot is immediately probe-ready.
+    /// A new instance sharing the relations of exactly the requested
+    /// predicates (absent predicates are skipped). O(predicates): nothing is
+    /// copied, and the shared relations keep their row ids, indexes and
+    /// fingerprint filters, so a projection of a served snapshot is
+    /// immediately probe-ready.
     ///
     /// This is the scratch-instance primitive of the demand-driven query
-    /// path: a magic-sets evaluation copies only the extensional relations
-    /// its rewritten program reads out of the (immutable, `Arc`-shared)
-    /// snapshot and derives into the copy, so concurrent queries never
-    /// contend on shared state.
+    /// path: a magic-sets evaluation reads the extensional relations its
+    /// rewritten program needs in place, in the snapshot, and derives into
+    /// relations of its own. The indexes its probes build stay on the
+    /// snapshot and serve every later query of the same epoch. A write to a
+    /// shared relation would copy it first (see the module docs), so the
+    /// snapshot itself is never changed.
     pub fn project(&self, predicates: impl IntoIterator<Item = Predicate>) -> Instance {
         let mut projected = Instance::new();
         for p in predicates {
@@ -1368,11 +1513,25 @@ impl Instance {
                 if projected.relations.contains_key(&p) {
                     continue;
                 }
+                rel.share();
                 projected.len += rel.len();
-                projected.relations.insert(p, rel.clone());
+                projected.relations.insert(p, Arc::clone(rel));
             }
         }
         projected
+    }
+
+    /// Takes private copies, now, of the relations of `predicates` that are
+    /// shared (absent predicates are skipped): the copies their first
+    /// writes would take anyway. A writer that probes relations before it
+    /// writes them calls this first, so that the indexes those probes build
+    /// are its own and survive its writes (see the module docs).
+    pub fn take_private(&mut self, predicates: impl IntoIterator<Item = Predicate>) {
+        for p in predicates {
+            if let Some(slot) = self.relations.get_mut(&p) {
+                Arc::make_mut(slot).unshare();
+            }
+        }
     }
 
     /// `true` iff the atom is present.
@@ -1432,12 +1591,12 @@ impl Instance {
 
     /// The relations of the instance.
     pub fn relations(&self) -> impl Iterator<Item = &Relation> {
-        self.relations.values()
+        self.relations.values().map(|rel| &**rel)
     }
 
     /// The arity of a predicate, if it occurs in the instance.
     pub fn arity_of(&self, p: Predicate) -> Option<usize> {
-        self.relations.get(&p).map(Relation::arity)
+        self.relation(p).map(Relation::arity)
     }
 
     /// The active domain: all constants and nulls occurring in the instance.
@@ -1466,13 +1625,13 @@ impl Instance {
 
     /// Number of atoms per predicate, useful for join-order heuristics.
     pub fn relation_size(&self, p: Predicate) -> usize {
-        self.relations.get(&p).map(Relation::len).unwrap_or(0)
+        self.relation(p).map(Relation::len).unwrap_or(0)
     }
 
     /// Heap bytes currently held by all relations' key indexes, fingerprint
     /// filters and dedup tables (see [`Relation::index_bytes`]).
     pub fn index_bytes(&self) -> usize {
-        self.relations.values().map(Relation::index_bytes).sum()
+        self.relations().map(Relation::index_bytes).sum()
     }
 
     /// A canonical serialisation of the per-relation row layout: for each
@@ -1999,10 +2158,7 @@ mod tests {
     /// `skips + false_positives` miss probes had been observed against the
     /// current filter.
     fn plant_filter_window(inst: &mut Instance, skips: u64, false_positives: u64) {
-        let rel = inst
-            .relations
-            .get_mut(&Predicate::new("edge"))
-            .expect("edge relation exists");
+        let rel = inst.relation_mut(Predicate::new("edge"), 2).unwrap();
         let mut index = rel.columns[0].write().unwrap();
         *index.filter_skips.get_mut() = skips;
         *index.filter_false_positives.get_mut() = false_positives;
@@ -2113,7 +2269,7 @@ mod tests {
             2500
         );
         {
-            let rel = inst.relations.get_mut(&Predicate::new("edge")).unwrap();
+            let rel = inst.relation_mut(Predicate::new("edge"), 2).unwrap();
             let mut index = rel.columns[0].write().unwrap();
             index.filter_bits_per_key = FILTER_MAX_BITS_PER_KEY;
             index.rebuild_filter();
@@ -2219,5 +2375,161 @@ mod tests {
         assert_eq!(db.as_instance().relation_size(Predicate::new("edge")), 2);
         assert_eq!(db.as_instance().relation_size(Predicate::new("node")), 1);
         assert_eq!(db.as_instance().relation_size(Predicate::new("zzz")), 0);
+    }
+
+    fn edge_arc(inst: &Instance) -> &Arc<Relation> {
+        inst.relations.get(&Predicate::new("edge")).unwrap()
+    }
+
+    fn miss_counters(rel: &Relation, col: usize) -> (u64, u64) {
+        let index = rel.columns[col].read().unwrap();
+        (
+            index.filter_skips.load(Ordering::Relaxed),
+            index.filter_false_positives.load(Ordering::Relaxed),
+        )
+    }
+
+    #[test]
+    fn clones_share_relations_until_their_first_write() {
+        let mut live = Instance::new();
+        live.insert(Atom::fact("edge", &["a", "b"])).unwrap();
+        live.insert(Atom::fact("node", &["a"])).unwrap();
+        let frozen = live.clone();
+        assert!(Arc::ptr_eq(edge_arc(&live), edge_arc(&frozen)));
+
+        live.insert(Atom::fact("edge", &["b", "c"])).unwrap();
+        // The write copied `edge` alone; the clone keeps its rows and ids.
+        assert!(!Arc::ptr_eq(edge_arc(&live), edge_arc(&frozen)));
+        let node = Predicate::new("node");
+        assert!(std::ptr::eq(
+            live.relation(node).unwrap(),
+            frozen.relation(node).unwrap()
+        ));
+        assert_eq!((live.len(), frozen.len()), (3, 2));
+        let rel = frozen.relation(Predicate::new("edge")).unwrap();
+        assert_eq!(rel.len(), 1);
+        assert_eq!(rel.atom(0), Atom::fact("edge", &["a", "b"]));
+        assert_eq!(
+            live.relation(Predicate::new("edge"))
+                .unwrap()
+                .find_row(&[Term::constant("b"), Term::constant("c")]),
+            Some(1)
+        );
+    }
+
+    #[test]
+    fn projections_share_relations_and_the_indexes_built_on_them() {
+        let mut live = spread_relation(64, 8);
+        live.relation(Predicate::new("edge"))
+            .unwrap()
+            .distinct_count(1);
+        let snapshot = live.clone();
+        let scratch = snapshot.project([Predicate::new("edge")]);
+        assert!(Arc::ptr_eq(edge_arc(&snapshot), edge_arc(&scratch)));
+
+        // A reader's first probe of column 0 builds the index on the shared
+        // relation; a second reader finds it built.
+        let before = snapshot.index_bytes();
+        let probe = |inst: &Instance| {
+            inst.relation(Predicate::new("edge"))
+                .unwrap()
+                .matching_count(0, Term::constant("s3"))
+        };
+        assert_eq!(probe(&scratch), 8);
+        let built = snapshot.index_bytes();
+        assert!(built > before);
+        assert_eq!(probe(&snapshot.project([Predicate::new("edge")])), 8);
+        assert_eq!(snapshot.index_bytes(), built);
+
+        // The writer's copy leaves the readers' column-0 index behind and
+        // keeps its own column-1 index; the readers keep both.
+        live.insert(Atom::fact("edge", &["s3", "new"])).unwrap();
+        let written = live.relation(Predicate::new("edge")).unwrap();
+        assert_eq!(written.columns[0].read().unwrap().rows_indexed, 0);
+        assert_eq!(written.columns[1].read().unwrap().rows_indexed, 64);
+        assert_eq!(probe(&live), 9);
+        assert_eq!(probe(&scratch), 8);
+        assert_eq!(snapshot.index_bytes(), built);
+    }
+
+    #[test]
+    fn private_copies_keep_the_indexes_built_on_them() {
+        let mut live = spread_relation(64, 8);
+        let edge = Predicate::new("edge");
+        let _snapshot = live.clone();
+        live.take_private([edge, Predicate::new("absent")]);
+        // Built on the writer's own copy: it survives the next write.
+        live.relation(edge).unwrap().distinct_count(0);
+        live.insert(Atom::fact("edge", &["s0", "late"])).unwrap();
+        let rel = live.relation(edge).unwrap();
+        assert_eq!(rel.columns[0].read().unwrap().rows_indexed, 64);
+        assert_eq!(rel.distinct_count(0), 8);
+    }
+
+    #[test]
+    fn sharing_brings_existing_indexes_up_to_date() {
+        let mut live = spread_relation(32, 4);
+        let edge = Predicate::new("edge");
+        live.relation(edge).unwrap().distinct_count(0);
+        live.relation(edge)
+            .unwrap()
+            .key_distinct_count(ColSet::new(&[0, 1]));
+        live.insert(Atom::fact("edge", &["s0", "late"])).unwrap();
+        let snapshot = live.clone();
+        let rel = snapshot.relation(edge).unwrap();
+        assert_eq!(rel.columns[0].read().unwrap().rows_indexed, 33);
+        let composites = rel.composites.read().unwrap();
+        assert_eq!(composites[0].1.read().unwrap().rows_indexed, 33);
+        // Unbuilt indexes stay unbuilt.
+        assert_eq!(rel.columns[1].read().unwrap().rows_indexed, 0);
+    }
+
+    #[test]
+    fn the_writers_copy_never_waits_for_a_readers_index_build() {
+        let mut live = spread_relation(64, 8);
+        let snapshot = live.clone();
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            // A reader is building column 0 of the shared relation.
+            let building = snapshot.relation(Predicate::new("edge")).unwrap().columns[0]
+                .write()
+                .unwrap();
+            scope.spawn(move || {
+                live.insert(Atom::fact("edge", &["s0", "new"])).unwrap();
+                let rel = live.relation(Predicate::new("edge")).unwrap();
+                done.send(rel.columns[0].read().unwrap().rows_indexed)
+                    .unwrap();
+            });
+            let copied = finished.recv_timeout(std::time::Duration::from_secs(10));
+            drop(building);
+            assert_eq!(copied, Ok(0), "the copy leaves the reader's build behind");
+        });
+    }
+
+    #[test]
+    fn probes_of_a_shared_relation_do_not_steer_the_filter() {
+        let mut live = spread_relation(5000, 2500);
+        let edge = Predicate::new("edge");
+        assert_eq!(live.relation(edge).unwrap().distinct_count(0), 2500);
+        let absent = |inst: &Instance, n: usize| {
+            let rel = inst.relation(edge).unwrap();
+            for i in 0..n {
+                rel.matching_count(0, Term::constant(&format!("absent_{i}")));
+            }
+        };
+        absent(&live, 100);
+        let counted = miss_counters(live.relation(edge).unwrap(), 0);
+        assert_eq!(counted.0 + counted.1, 100);
+
+        let snapshot = live.clone();
+        absent(&snapshot, 1000);
+        absent(&live, 1000);
+        assert_eq!(miss_counters(snapshot.relation(edge).unwrap(), 0), counted);
+        // The writer's copy carries exactly its own evidence.
+        live.insert(Atom::fact("edge", &["s0", "fresh"])).unwrap();
+        assert_eq!(miss_counters(live.relation(edge).unwrap(), 0), counted);
+        absent(&live, 10);
+        let after = miss_counters(live.relation(edge).unwrap(), 0);
+        assert_eq!(after.0 + after.1, 110);
     }
 }

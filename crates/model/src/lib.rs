@@ -52,7 +52,7 @@ pub use homomorphism::{
 pub use parallel::{DerivationBatch, MergeScratch, DELTA_SHARDS};
 pub use program::Program;
 pub use query::ConjunctiveQuery;
-pub use snapshot::{InstanceSnapshot, SnapshotCell};
+pub use snapshot::InstanceSnapshot;
 pub use substitution::Substitution;
 pub use symbols::Symbol;
 pub use term::{NullId, PackedTerm, Term, Variable};

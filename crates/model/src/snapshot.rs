@@ -8,17 +8,21 @@
 //! instance frozen at a specific **epoch** (a counter the owner bumps once
 //! per successful mutation batch).
 //!
-//! Snapshots are *copy-on-publish*: taking one clones the live instance —
-//! O(data), but only once per epoch, because a [`SnapshotCell`] caches the
-//! snapshot keyed by epoch and every later acquire at the same epoch is a
-//! reference-count bump. Readers therefore run entirely against frozen data
-//! (the same freezing discipline the sharded evaluator's rounds use, see
-//! [`crate::parallel`]) while the owner keeps appending to the live
-//! instance; no lock is held across a query.
+//! Snapshots are *copy-on-write*: taking one clones the live instance,
+//! which shares every relation with it — O(relations), no row is copied.
+//! The owner's first write to a relation after a publish copies that
+//! relation alone (see [`crate::database`] on copy-on-write sharing), so a
+//! batch pays only for the relations it touches, and relations it leaves
+//! alone stay shared across epochs. Readers therefore run entirely against
+//! frozen data (the same freezing discipline the sharded evaluator's rounds
+//! use, see [`crate::parallel`]) while the owner keeps appending to the
+//! live instance; no lock is held across a query. The key indexes readers
+//! build on a snapshot's relations stay there and serve every later reader
+//! of the same snapshot.
 
 use crate::database::Instance;
 use std::ops::Deref;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// An immutable view of an [`Instance`], frozen at a specific epoch.
 ///
@@ -33,7 +37,8 @@ pub struct InstanceSnapshot {
 }
 
 impl InstanceSnapshot {
-    /// Freezes `instance` (by cloning it) at `epoch`.
+    /// Freezes `instance` at `epoch`: O(relations), the snapshot shares
+    /// every relation with `instance` until `instance` next writes it.
     pub fn freeze(instance: &Instance, epoch: u64) -> InstanceSnapshot {
         InstanceSnapshot {
             epoch,
@@ -60,41 +65,6 @@ impl Deref for InstanceSnapshot {
     }
 }
 
-/// An epoch-keyed snapshot cache: the owner of a live instance acquires
-/// snapshots through the cell, and only the **first** acquire after a
-/// mutation pays the instance clone — every later acquire at the same epoch
-/// hands out the cached `Arc`.
-///
-/// The cell itself is cheap to hold next to the live instance; it does not
-/// keep the instance alive and holds no lock beyond the brief cache probe.
-#[derive(Debug, Default)]
-pub struct SnapshotCell {
-    cached: Mutex<Option<InstanceSnapshot>>,
-}
-
-impl SnapshotCell {
-    /// Creates an empty cell (the first acquire clones).
-    pub fn new() -> SnapshotCell {
-        SnapshotCell::default()
-    }
-
-    /// The snapshot of `live` at `epoch`: the cached one when fresh, a newly
-    /// frozen (cloned) one otherwise. The caller is responsible for bumping
-    /// `epoch` whenever `live` has been mutated — the cell trusts the epoch,
-    /// it does not inspect the instance.
-    pub fn acquire(&self, live: &Instance, epoch: u64) -> InstanceSnapshot {
-        let mut cached = self.cached.lock().expect("snapshot cache lock poisoned");
-        match cached.as_ref() {
-            Some(snapshot) if snapshot.epoch == epoch => snapshot.clone(),
-            _ => {
-                let snapshot = InstanceSnapshot::freeze(live, epoch);
-                *cached = Some(snapshot.clone());
-                snapshot
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,24 +81,17 @@ mod tests {
         live.insert(Atom::fact("edge", &["b", "c"])).unwrap();
         assert_eq!(snap.len(), 1);
         assert_eq!(live.len(), 2);
-    }
-
-    #[test]
-    fn the_cell_caches_per_epoch_and_refreshes_on_epoch_change() {
-        let mut live = Instance::new();
-        live.insert(Atom::fact("edge", &["a", "b"])).unwrap();
-        let cell = SnapshotCell::new();
-        let first = cell.acquire(&live, 1);
-        let second = cell.acquire(&live, 1);
-        // Same epoch: the very same shared instance, no re-clone.
-        assert!(Arc::ptr_eq(&first.instance, &second.instance));
-        // New epoch: a fresh freeze that sees the mutation.
-        live.insert(Atom::fact("edge", &["b", "c"])).unwrap();
-        let third = cell.acquire(&live, 2);
-        assert!(!Arc::ptr_eq(&first.instance, &third.instance));
-        assert_eq!(third.epoch(), 2);
-        assert_eq!(third.len(), 2);
-        assert_eq!(first.len(), 1);
+        let edge = |inst: &Instance| inst.relation(crate::Predicate::new("edge")).unwrap().len();
+        assert_eq!(edge(&snap), 1);
+        // A snapshot of a new epoch sees the mutation; the old one still
+        // does not.
+        let fresh = InstanceSnapshot::freeze(&live, 2);
+        assert_eq!(fresh.epoch(), 2);
+        assert_eq!(fresh.len(), 2);
+        assert_eq!(edge(&fresh), 2);
+        assert_eq!(edge(&snap), 1);
+        // Clones of one snapshot share its instance.
+        assert!(Arc::ptr_eq(&fresh.instance, &fresh.clone().instance));
     }
 
     #[test]

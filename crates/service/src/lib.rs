@@ -133,7 +133,10 @@
 //! # Concurrency model
 //!
 //! * Ingests serialise on a mutex around the [`IncrementalEngine`]; each
-//!   successful ingest publishes a fresh epoch snapshot.
+//!   successful ingest publishes a fresh epoch snapshot. A snapshot shares
+//!   the live instance's relations (O(relations) to take); the next ingest
+//!   copies a relation on its first write to it, and the superseded
+//!   snapshot is released after the publish, with no lock held.
 //! * Queries clone the published snapshot handle (an `Arc` bump under a
 //!   briefly-held read lock) and evaluate against the frozen instance with
 //!   **no lock held** — a long query never blocks an ingest and vice versa.

@@ -279,11 +279,18 @@ pub(crate) fn handle_request(shared: &Shared, request: Request) -> Response {
                     // Lock order is always engine → published, and queries
                     // take only `published`, so this cannot deadlock.
                     let snapshot = engine.engine().snapshot();
-                    *shared
-                        .published
-                        .write()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner()) = snapshot;
+                    let superseded = std::mem::replace(
+                        &mut *shared
+                            .published
+                            .write()
+                            .unwrap_or_else(|poisoned| poisoned.into_inner()),
+                        snapshot,
+                    );
                     drop(engine);
+                    // Freed with no lock held: the superseded snapshot may
+                    // be the last holder of the relations this batch
+                    // copied, and readers must not wait for that free.
+                    drop(superseded);
                     Response::ingest(&outcome)
                 }
                 // A rejected batch left the instance untouched (the engine

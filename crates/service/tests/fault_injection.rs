@@ -5,11 +5,15 @@
 //!
 //! The failpoint registry only exists in debug builds, so every test that
 //! arms a site is `#[cfg(debug_assertions)]`; the randomized kill/recover
-//! property needs no failpoints and runs in every profile.
+//! property needs no failpoints and runs in every profile. The registry is
+//! process-global, and every test here ingests through armable sites, so
+//! every test holds [`failpoints::exclusive`] throughout — including the
+//! ones that arm nothing, which must not hit another test's armed site.
 
 use std::path::PathBuf;
 use vadalog_model::parser::{parse_fact_list, parse_rules};
 use vadalog_model::Atom;
+use vadalog_service::failpoints;
 use vadalog_service::{DurabilityConfig, DurableEngine, IncrementalEngine, SyncPolicy};
 
 const TWO_CLOSURES: &str = "t(X, Y) :- edge(X, Y).\n t(X, Z) :- edge(X, Y), t(Y, Z).\n\
@@ -69,6 +73,7 @@ fn assert_same_state(recovered: &IncrementalEngine, reference: &IncrementalEngin
 /// across sync policies and snapshot cadences.
 #[test]
 fn randomized_kill_and_recover_is_bit_identical_to_an_uncrashed_engine() {
+    let _guard = failpoints::exclusive();
     for (trial, seed) in [0x9e3779b97f4a7c15u64, 42, 7_777_777]
         .into_iter()
         .enumerate()
@@ -114,6 +119,7 @@ fn randomized_kill_and_recover_is_bit_identical_to_an_uncrashed_engine() {
 /// state.
 #[test]
 fn clean_shutdown_marker_round_trips_through_recovery() {
+    let _guard = failpoints::exclusive();
     let dir = temp_dir("clean-marker");
     let config = DurabilityConfig::new(&dir);
     let mut durable = DurableEngine::create(fresh_engine(), config.clone()).unwrap();
@@ -135,7 +141,7 @@ mod injected {
     use super::*;
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
-    use vadalog_service::failpoints::{self, Action};
+    use vadalog_service::failpoints::Action;
     use vadalog_service::{LiveServer, ServerConfig, ServiceError};
 
     /// A WAL append failure must roll back cleanly: the engine is untouched,

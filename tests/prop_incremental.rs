@@ -15,9 +15,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vadalog::datalog::{DatalogEngine, IncrementalEngine};
+use vadalog::datalog::{explain_query, DatalogEngine, DemandEngine, IncrementalEngine};
 use vadalog::model::parser::{parse_query, parse_rules};
-use vadalog::model::{Atom, Database, Instance, Program};
+use vadalog::model::{Atom, ConjunctiveQuery, Database, Instance, Program, QueryBudget};
 
 /// A randomly generated *plain Datalog* program over binary predicates
 /// `p0..p3` seeded from the `edge` EDB relation (the same generator family
@@ -271,5 +271,126 @@ fn fact_at_a_time_ingestion_converges() {
             live.instance().len(),
             "case {case}: rows must be inserts or derivations"
         );
+    }
+}
+
+/// `count` disjoint chains `c<i>_n0 → … → c<i>_n<len>`, numbered from
+/// `first`.
+fn chains(first: usize, count: usize, len: usize) -> Vec<Atom> {
+    let mut facts = Vec::with_capacity(count * len);
+    for c in first..first + count {
+        for j in 0..len {
+            let (a, b) = (format!("c{c}_n{j}"), format!("c{c}_n{}", j + 1));
+            facts.push(Atom::fact("edge", &[a.as_str(), b.as_str()]));
+        }
+    }
+    facts
+}
+
+/// The read traffic a served snapshot sees between two batches: magic
+/// bound and point queries, the same queries on the full path, full-path
+/// misses on absent constants, a full-path probe of `reach`'s column 1
+/// (which builds that index on the shared relation), and EXPLAIN. Answers
+/// are checked against the full path so the reads are not dead code.
+fn read_everything(snapshot: &Instance, demand: &DemandEngine, threads: usize) {
+    let budget = QueryBudget::unlimited();
+    let query = |src: &str| -> ConjunctiveQuery { parse_query(src).unwrap() };
+    for src in [
+        "?(Y) :- reach(c0_n0, Y).",
+        "? :- reach(c1_n0, c1_n20).",
+        "? :- reach(c2_n3, c3_n9).",
+        "?(X) :- reach(X, c4_n5).",
+    ] {
+        let query = query(src);
+        let full = query.evaluate_with_threads(snapshot, threads);
+        if let Ok(magic) = demand.answer(snapshot, &query, &budget) {
+            assert_eq!(magic.answers, full, "{query}");
+        }
+        let report = explain_query(demand.program(), snapshot, &query, true, None);
+        assert!(!report.lines.is_empty());
+    }
+    for k in 0..100 {
+        let absent = query(&format!("?(X) :- reach(X, absent{k})."));
+        assert!(absent.evaluate_with_threads(snapshot, threads).is_empty());
+    }
+}
+
+/// Read traffic never changes the live engine. Readers of a snapshot probe
+/// (and build indexes on, and count filter misses in) relations the live
+/// engine shares with the snapshot until its next write to them; none of
+/// that may leak into the engine. The same fact stream ingested with and
+/// without reads on every snapshot between batches must leave identical
+/// row layouts and identical `DatalogStats` — every counter, the
+/// fingerprint-filter `probe_misses_filtered` included — at 1 and 2
+/// threads. Every other snapshot is kept alive across the next ingest (its
+/// relations are copied on the first write) and the rest are dropped
+/// first (the engine writes them in place).
+///
+/// The stream is built so that a leak would show: the readers build
+/// `reach`'s column-1 index while it has too few distinct keys for a
+/// fingerprint filter, and the engine first probes that column only in the
+/// last batches, after `reach` has grown past the filter size gate. An
+/// engine that inherited the readers' index would extend it without a
+/// filter, and its `probe_misses_filtered` would differ.
+#[test]
+fn read_traffic_never_changes_the_live_engine() {
+    let program = parse_rules(
+        "reach(X, Y) :- edge(X, Y).\n\
+         reach(X, Z) :- edge(X, Y), reach(Y, Z).\n\
+         back(X, Y) :- mark(Y), reach(X, Y).",
+    )
+    .unwrap();
+    let (base, per_batch, len) = (40usize, 2usize, 20usize);
+    let mut batches = vec![chains(0, base, len)];
+    for b in 0..8 {
+        let mut batch = chains(base + b * per_batch, per_batch, len);
+        if b >= 6 {
+            for k in 0..300 {
+                let target = match k % 2 {
+                    0 => format!("c{}_n{}", k % base, 1 + k % len),
+                    _ => format!("unmarked{b}_{k}"),
+                };
+                batch.push(Atom::fact("mark", &[target.as_str()]));
+            }
+        }
+        batches.push(batch);
+    }
+
+    let run = |threads: usize, reads: bool| {
+        let mut engine = IncrementalEngine::new(program.clone())
+            .unwrap()
+            .with_threads(threads);
+        let demand = DemandEngine::new(program.clone()).with_threads(threads);
+        let mut held = None;
+        for (k, batch) in batches.iter().enumerate() {
+            engine.ingest(batch).unwrap();
+            let snapshot = engine.snapshot();
+            if reads {
+                read_everything(&snapshot, &demand, threads);
+            }
+            held = (k % 2 == 0).then_some(snapshot);
+        }
+        drop(held);
+        engine
+    };
+    let reference = run(1, false);
+    assert!(
+        reference.stats().probe_misses_filtered > 0,
+        "the workload must exercise the fingerprint filters"
+    );
+    for threads in [1usize, 2] {
+        for reads in [false, true] {
+            let engine = run(threads, reads);
+            assert_eq!(
+                engine.instance().row_layout(),
+                reference.instance().row_layout(),
+                "threads={threads} reads={reads}: row layout diverged"
+            );
+            assert_eq!(
+                engine.stats(),
+                reference.stats(),
+                "threads={threads} reads={reads}: engine counters diverged"
+            );
+        }
     }
 }

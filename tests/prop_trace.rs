@@ -7,7 +7,9 @@
 //!
 //! This lives in its own integration binary on purpose: the obs switches
 //! (`set_enabled`, the manual clock) are process-global, so sharing a
-//! binary with other tests would race them.
+//! binary with other tests would race them. Within the binary, every test
+//! that touches them holds [`obs_exclusive`] throughout, so the default
+//! parallel test harness cannot interleave them either.
 //!
 //! The build environment is offline, so instead of `proptest` these use
 //! the in-tree seeded PRNG over a fixed number of deterministic cases.
@@ -15,10 +17,18 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
+use std::sync::{Mutex, MutexGuard};
 use vadalog::datalog::{DatalogEngine, DatalogStats, DemandEngine, DemandError, IncrementalEngine};
 use vadalog::model::parser::{parse_query, parse_rules};
 use vadalog::model::{Atom, ConjunctiveQuery, Database, Program, QueryBudget, Symbol};
 use vadalog::obs;
+
+/// Serialises the tests of this binary that flip the process-global obs
+/// switches. Poison-tolerant: one failed test must not fail the others.
+fn obs_exclusive() -> MutexGuard<'static, ()> {
+    static OBS: Mutex<()> = Mutex::new(());
+    OBS.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn arb_database(rng: &mut StdRng) -> Database {
     let n_edges = rng.gen_range(2..16usize);
@@ -157,6 +167,7 @@ fn observe(
 /// record nothing, enabled runs record spans).
 #[test]
 fn tracing_never_changes_answers_or_counters() {
+    let _obs = obs_exclusive();
     // Deterministic timestamps; irrelevant to the compared outputs but it
     // keeps the traced runs themselves reproducible.
     obs::use_manual_clock();
@@ -209,6 +220,7 @@ fn tracing_never_changes_answers_or_counters() {
 /// flapping decision would make EXPLAIN lie).
 #[test]
 fn magic_fallbacks_are_stable_under_tracing() {
+    let _obs = obs_exclusive();
     let mut rng = StdRng::seed_from_u64(62);
     let budget = QueryBudget::unlimited();
     for _ in 0..6 {
